@@ -10,11 +10,13 @@ consumer.  This module is that plane for GridRM:
 * :class:`StreamHub` — the producing gateway's registration endpoint.
   A continuous query is compiled once through the shared
   :class:`~repro.core.plans.PlanCache`; on every publish the bound
-  predicate/projection runs *here*, and only matching tuples cross the
-  wire.  Three producer flavours (R-GMA's vocabulary): ``latest``
-  replays the current row per source on attach, ``history`` replays
-  from the gateway's :class:`~repro.core.history.HistoryStore` since a
-  client watermark, ``stream`` is publish-forward only.
+  predicate/projection runs *here*, once per distinct query however many
+  subscriptions share it, and only matching tuples cross the wire, as
+  one ``bytes`` frame per subscription.  Three producer flavours
+  (R-GMA's vocabulary): ``latest`` replays the current row per source
+  on attach, ``history`` replays from the gateway's
+  :class:`~repro.core.history.HistoryStore` since a client watermark,
+  ``stream`` is publish-forward only.
 * :class:`StreamConsumer` — the consumer side: registers continuous
   queries, receives tuple batches as datagrams, renews leases, and
   re-registers when a partition let a lease lapse.
@@ -45,6 +47,7 @@ heals without a re-registration round-trip.
 from __future__ import annotations
 
 import itertools
+import json
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, TYPE_CHECKING
@@ -75,42 +78,115 @@ CONSUMER_PORT = 8501
 FLAVOURS = ("stream", "latest", "history")
 
 
-def encode_batch(
-    cq_id: int,
+#: A tuple-batch frame is one JSON object in ``bytes``: this per-cq
+#: header, then a *tail* shared by every subscription of one shape.
+_FRAME_HEAD = b'{"cq": '
+_FRAME_KIND = b', "kind": "gridrm-tuples", '
+
+#: Distinct tails one consumer keeps decoded (see :func:`decode_batch`).
+TAIL_MEMO_LIMIT = 32
+
+
+def encode_tail(
     columns: list[str],
     rows: list[list[Any]],
     *,
     published_at: float,
     source_url: str,
     replay: bool,
-) -> dict[str, Any]:
-    """Wire form of one delivered tuple batch (plain dict)."""
+) -> bytes:
+    """The shared part of a tuple-batch frame, serialised once.
+
+    JSON's default separators make a frame exactly as long as the
+    ``repr`` of the equivalent dict for ASCII payloads, so the simulated
+    wire charges the same bytes as a dict payload would.
+    """
+    body = json.dumps(
+        {
+            "columns": columns,
+            "rows": rows,
+            "published_at": published_at,
+            "source_url": source_url,
+            "replay": replay,
+        }
+    )
+    return body[1:].encode()
+
+
+def encode_frame(cq_id: int, tail: bytes) -> bytes:
+    """Wire form of one delivered tuple batch: per-cq header + tail."""
+    return b"%s%d%s%s" % (_FRAME_HEAD, cq_id, _FRAME_KIND, tail)
+
+
+@dataclass(frozen=True)
+class _Tail:
+    """A decoded frame tail; its values may be shared between batches."""
+
+    columns: tuple[str, ...]
+    rows: tuple[tuple[Any, ...], ...]
+    published_at: float
+    source_url: str
+    replay: bool
+
+
+def _split_frame(payload: Any) -> Optional[tuple[int, bytes]]:
+    if not isinstance(payload, bytes) or not payload.startswith(_FRAME_HEAD):
+        return None
+    cut = payload.find(_FRAME_KIND, len(_FRAME_HEAD))
+    if cut < 0 or not payload[len(_FRAME_HEAD) : cut].isdigit():
+        return None
+    return int(payload[len(_FRAME_HEAD) : cut]), payload[cut + len(_FRAME_KIND) :]
+
+
+def _decode_tail(tail: bytes) -> Optional[_Tail]:
+    try:
+        body = json.loads(b"{" + tail)
+        if not isinstance(body, dict):
+            return None
+        return _Tail(
+            columns=tuple(str(c) for c in body["columns"]),
+            rows=tuple(tuple(r) for r in body["rows"]),
+            published_at=float(body["published_at"]),
+            source_url=str(body.get("source_url", "")),
+            replay=bool(body.get("replay", False)),
+        )
+    except (KeyError, TypeError, ValueError):
+        return None
+
+
+def decode_batch(
+    payload: Any, memo: Optional[dict[bytes, _Tail]] = None
+) -> Optional[dict[str, Any]]:
+    """Parse one tuple-batch frame; ``None`` for anything else.
+
+    ``memo`` (bounded to :data:`TAIL_MEMO_LIMIT`, oldest out first)
+    decodes each distinct tail once: a fan-out delivers the same tail to
+    every subscription of a shape, and sharing the decoded values keeps
+    a consumer's retained batches small.  Every batch still gets its own
+    column and row lists.
+    """
+    split = _split_frame(payload)
+    if split is None:
+        return None
+    cq_id, tail_bytes = split
+    tail = memo.get(tail_bytes) if memo is not None else None
+    if tail is None:
+        tail = _decode_tail(tail_bytes)
+        if tail is None:
+            return None
+        if memo is not None:
+            if len(memo) >= TAIL_MEMO_LIMIT:
+                del memo[next(iter(memo))]
+            memo[tail_bytes] = tail
     return {
         "kind": "gridrm-tuples",
         "cq": cq_id,
-        "columns": list(columns),
-        "rows": [list(r) for r in rows],
-        "published_at": published_at,
-        "source_url": source_url,
-        "replay": replay,
+        "columns": list(tail.columns),
+        "rows": [list(r) for r in tail.rows],
+        "published_at": tail.published_at,
+        "source_url": tail.source_url,
+        "replay": tail.replay,
     }
-
-
-def decode_batch(payload: Any) -> Optional[dict[str, Any]]:
-    if not isinstance(payload, dict) or payload.get("kind") != "gridrm-tuples":
-        return None
-    try:
-        return {
-            "kind": "gridrm-tuples",
-            "cq": int(payload["cq"]),
-            "columns": [str(c) for c in payload["columns"]],
-            "rows": [list(r) for r in payload["rows"]],
-            "published_at": float(payload["published_at"]),
-            "source_url": str(payload.get("source_url", "")),
-            "replay": bool(payload.get("replay", False)),
-        }
-    except (KeyError, TypeError, ValueError):
-        return None
 
 
 @dataclass
@@ -123,10 +199,14 @@ class _Continuous:
     flavour: str
     group: str
     plan: "CompiledPlan"
+    #: ``PlanCache.key`` of ``sql``: subscriptions sharing it share one
+    #: evaluation and one encoded tail per publish.
+    plan_key: tuple[str, tuple[str, ...]]
     query_class: str
     expires_at: float
-    #: Backpressure: while paused, batches buffer here (bounded) instead
-    #: of being pushed — a continuous query cannot OOM a slow consumer.
+    #: Backpressure: while paused, frames (with their row counts) buffer
+    #: here (bounded) instead of being pushed — a continuous query cannot
+    #: OOM a slow consumer.
     max_buffer: int = 256
     overflow: str = "drop_oldest"
     paused: bool = False
@@ -135,7 +215,7 @@ class _Continuous:
     dropped: int = 0
     suppressed: int = 0
     unsatisfied: int = 0
-    buffer: "deque[dict[str, Any]]" = field(default_factory=deque)
+    buffer: "deque[tuple[bytes, int]]" = field(default_factory=deque)
 
 
 class StreamHub:
@@ -205,6 +285,9 @@ class StreamHub:
             "expired": 0,
             "resurrected": 0,
             "unsatisfied": 0,
+            # Plan evaluations at publish: one per live shape, however
+            # many subscriptions share it.
+            "evaluations": 0,
         }
         network.listen(self.address, self._handle_control)
         self._sweep_task = network.clock.call_every(
@@ -301,6 +384,7 @@ class StreamHub:
                 flavour=flavour,
                 group=group,
                 plan=entry.plan,
+                plan_key=self.plans.key(sql),
                 query_class=qc.value,
                 expires_at=now
                 + float(payload.get("lease") or self.policy.stream_default_lease),
@@ -355,16 +439,16 @@ class StreamHub:
                         continue
                     if not result.rows:
                         continue
-                    batch = encode_batch(
-                        cq.cq_id,
+                    tail = encode_tail(
                         list(result.columns),
                         [list(r) for r in result.rows],
                         published_at=now,
                         source_url=source_url,
                         replay=True,
                     )
-                    replayed += len(result.rows)
-                    self._offer(cq, batch)
+                    n_rows = len(result.rows)
+                    replayed += n_rows
+                    self._offer(cq, encode_frame(cq.cq_id, tail), n_rows)
             elif cq.flavour == "history" and self.history is not None:
                 if cq.group in self.history.db.tables:
                     table = self.history.db.table(cq.group)
@@ -378,8 +462,7 @@ class StreamHub:
                         tuple(table.column_names)
                     ).execute(rows)
                     if result.rows:
-                        batch = encode_batch(
-                            cq.cq_id,
+                        tail = encode_tail(
                             list(result.columns),
                             [list(r) for r in result.rows],
                             published_at=now,
@@ -387,7 +470,7 @@ class StreamHub:
                             replay=True,
                         )
                         replayed = len(result.rows)
-                        self._offer(cq, batch)
+                        self._offer(cq, encode_frame(cq.cq_id, tail), replayed)
         self.stats["replayed"] += replayed
         return replayed
 
@@ -445,10 +528,10 @@ class StreamHub:
         cq.paused = False
         flushed = len(cq.buffer)
         while cq.buffer:
-            batch = cq.buffer.popleft()
-            self.network.send(self.host, cq.consumer, batch)
+            data, n_rows = cq.buffer.popleft()
+            self.network.send(self.host, cq.consumer, data)
             cq.delivered += 1
-            cq.tuples += len(batch["rows"])
+            cq.tuples += n_rows
         if races.ACTIVE is not None:
             races.ACTIVE.note(
                 "stream.subs", str(cq.cq_id), "w", site="StreamHub.resume"
@@ -471,7 +554,10 @@ class StreamHub:
         Called by the RequestManager after each real-time fetch (inside
         the fan-out branch, so the ``push`` spans nest under the live
         query trace) and by the :class:`Republisher`'s window rolls.
-        Returns the number of subscriptions that received tuples.
+        Subscriptions sharing a ``PlanCache`` key share one evaluation,
+        one encoded tail and one ``push`` span; each still gets its own
+        datagram, sent in registration order.  Returns the number of
+        subscriptions that received tuples.
         """
         g = (
             self.schema.group(group).name
@@ -483,7 +569,8 @@ class StreamHub:
         self._latest.setdefault(g, {})[source_url] = (cols, snapshot)
         now = self.network.clock.now()
         suppress = self._brownout()
-        pushed = 0
+        live: list[_Continuous] = []
+        shapes: dict[tuple[str, tuple[str, ...]], list[_Continuous]] = {}
         for cq in self._subs.values():
             if cq.group != g or cq.expires_at < now:
                 continue
@@ -494,31 +581,45 @@ class StreamHub:
                 cq.suppressed += 1
                 self.stats["suppressed"] += 1
                 continue
+            live.append(cq)
+            shapes.setdefault(cq.plan_key, []).append(cq)
+        tails: dict[tuple[str, tuple[str, ...]], tuple[bytes, int]] = {}
+        for key, members in shapes.items():
+            self.stats["evaluations"] += 1
             try:
-                result = cq.plan.bind(tuple(cols)).execute(snapshot)
+                result = members[0].plan.bind(tuple(cols)).execute(snapshot)
             except SqlError:
                 # This publish does not carry every column the plan needs
                 # (a narrower real-time projection can acquire a subset of
-                # the group).  The subscription simply cannot be satisfied
-                # from this snapshot — skip it; a subscriber's plan must
-                # never fail the publisher's query.
-                cq.unsatisfied += 1
-                self.stats["unsatisfied"] += 1
+                # the group).  The shape simply cannot be satisfied from
+                # this snapshot — skip its subscriptions; a subscriber's
+                # plan must never fail the publisher's query.
+                for cq in members:
+                    cq.unsatisfied += 1
+                self.stats["unsatisfied"] += len(members)
                 continue
             if not result.rows:
                 continue
             with self.tracer.span(
-                "push", cq=cq.cq_id, group=g, rows=len(result.rows)
+                "push", group=g, rows=len(result.rows), subscriptions=len(members)
             ):
-                batch = encode_batch(
-                    cq.cq_id,
-                    list(result.columns),
-                    [list(r) for r in result.rows],
-                    published_at=now,
-                    source_url=source_url,
-                    replay=False,
+                tails[key] = (
+                    encode_tail(
+                        list(result.columns),
+                        [list(r) for r in result.rows],
+                        published_at=now,
+                        source_url=source_url,
+                        replay=False,
+                    ),
+                    len(result.rows),
                 )
-                self._offer(cq, batch)
+        pushed = 0
+        for cq in live:
+            shaped = tails.get(cq.plan_key)
+            if shaped is None:
+                continue
+            tail, n_rows = shaped
+            self._offer(cq, encode_frame(cq.cq_id, tail), n_rows)
             if races.ACTIVE is not None:
                 # Registered COMMUTATIVE: sibling fan-out branches
                 # (different sources) push to one subscription in launch
@@ -539,24 +640,25 @@ class StreamHub:
             and ov.state is not PressureState.NORMAL
         )
 
-    def _offer(self, cq: _Continuous, batch: dict[str, Any]) -> None:
-        """Push live, or buffer (bounded) while the consumer is paused."""
+    def _offer(self, cq: _Continuous, data: bytes, n_rows: int) -> None:
+        """Push one frame live, or buffer it (bounded) while the consumer
+        is paused; ``n_rows`` is the frame's row count."""
         if not cq.paused:
-            self.network.send(self.host, cq.consumer, batch)
+            self.network.send(self.host, cq.consumer, data)
             cq.delivered += 1
-            cq.tuples += len(batch["rows"])
+            cq.tuples += n_rows
             self.stats["pushes"] += 1
-            self.stats["tuples"] += len(batch["rows"])
+            self.stats["tuples"] += n_rows
             return
         if len(cq.buffer) < cq.max_buffer:
-            cq.buffer.append(batch)
+            cq.buffer.append((data, n_rows))
             return
         # Bounded buffer full: something must be dropped, and counted.
         cq.dropped += 1
         self.stats["dropped"] += 1
         if cq.overflow == "drop_oldest":
             cq.buffer.popleft()
-            cq.buffer.append(batch)
+            cq.buffer.append((data, n_rows))
         # "pause": the newcomer is dropped — the orderly prefix survives.
 
     # ------------------------------------------------------------------
@@ -667,6 +769,10 @@ class StreamConsumer:
         self.delivered: dict[int, list[dict[str, Any]]] = {}
         self._callbacks: list[Callable[[dict[str, Any]], None]] = []
         self._regs: list[_Registration] = []
+        #: ``_regs`` by (hub host, cq id): hub cq ids are per-hub
+        #: counters, so the id alone does not name a registration.
+        self._by_hub: dict[tuple[str, int], _Registration] = {}
+        self._tails: dict[bytes, _Tail] = {}
         self._renew_timer = None
         self._renew_period = 0.0
         self.stats = {
@@ -681,16 +787,16 @@ class StreamConsumer:
 
     # ------------------------------------------------------------------
     def _on_datagram(self, payload: Any, src: Address) -> None:
-        batch = decode_batch(payload)
+        batch = decode_batch(payload, self._tails)
         if batch is None:
             return
         batch["received_at"] = self.network.clock.now()
         self.received += 1
         self.batches.append(batch)
         self.delivered.setdefault(batch["cq"], []).append(batch)
-        for reg in self._regs:
-            if reg.cq_id == batch["cq"]:
-                reg.last_published = max(reg.last_published, batch["published_at"])
+        reg = self._by_hub.get((src.host, batch["cq"]))
+        if reg is not None:
+            reg.last_published = max(reg.last_published, batch["published_at"])
         for cb in list(self._callbacks):
             cb(batch)
 
@@ -774,6 +880,7 @@ class StreamConsumer:
             query_class=query_class,
         )
         self._regs.append(reg)
+        self._by_hub[(hub.host, reg.cq_id)] = reg
         self._ensure_renewals()
         return reg.cq_id
 
@@ -799,7 +906,8 @@ class StreamConsumer:
 
     def deregister(self, hub: Address, cq_id: int) -> bool:
         ok = bool(self._control(hub, {"op": "deregister", "cq": cq_id}).get("ok"))
-        self._regs = [r for r in self._regs if r.cq_id != cq_id]
+        self._regs = [r for r in self._regs if (r.hub, r.cq_id) != (hub, cq_id)]
+        self._by_hub.pop((hub.host, cq_id), None)
         if not self._regs and self._renew_timer is not None:
             self._renew_timer.cancel()
             self._renew_timer = None
@@ -870,7 +978,9 @@ class StreamConsumer:
                 self.stats["renewal_failures"] += 1
                 continue
             if response.get("ok"):
+                self._by_hub.pop((reg.hub.host, reg.cq_id), None)
                 reg.cq_id = int(response["cq"])
+                self._by_hub[(reg.hub.host, reg.cq_id)] = reg
                 self.stats["reregisters"] += 1
             else:
                 self.stats["renewal_failures"] += 1
@@ -883,6 +993,7 @@ class StreamConsumer:
             except NetworkError:
                 pass
         self._regs.clear()
+        self._by_hub.clear()
         if self._renew_timer is not None:
             self._renew_timer.cancel()
             self._renew_timer = None

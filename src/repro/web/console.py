@@ -339,7 +339,8 @@ class Console:
             f"{snap['registered']} registered since start "
             f"({snap['expired']} expired, {snap['resurrected']} resurrected, "
             f"{snap['shed']} shed)",
-            f"  pushes: {snap['pushes']} batches / {snap['tuples']} tuples, "
+            f"  pushes: {snap['pushes']} batches / {snap['tuples']} tuples "
+            f"from {snap['evaluations']} shape evaluations, "
             f"replayed {snap['replayed']} on attach",
             f"  backpressure: {snap['dropped']} dropped, "
             f"{snap['suppressed']} suppressed in brownout",

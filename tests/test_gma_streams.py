@@ -24,14 +24,18 @@ from repro.glue.schema import GlueField, GlueGroup, GlueSchema
 from repro.gma.archiver import EventArchiver
 from repro.gma.streams import (
     FLAVOURS,
+    TAIL_MEMO_LIMIT,
     Republisher,
     StreamConsumer,
     StreamHub,
     decode_batch,
+    encode_frame,
+    encode_tail,
 )
 from repro.obs.trace import Tracer
 from repro.simnet.clock import VirtualClock
-from repro.simnet.network import Network
+from repro.simnet.network import Network, _payload_size
+from repro.sql.plan import BoundPlan
 from repro.testbed import build_testbed
 
 PROBE = GlueGroup(
@@ -349,6 +353,25 @@ def test_ignores_non_batch_datagrams():
     assert decode_batch({"kind": "other"}) is None
     assert decode_batch({"kind": "gridrm-tuples", "cq": "x"}) is None
     assert decode_batch("text") is None
+    tail = encode_tail(
+        ["A"], [[1]], published_at=1.0, source_url="s", replay=False
+    )
+    good = encode_frame(3, tail)
+    assert decode_batch(good) is not None
+    for bad in (
+        b"",
+        b"{}",
+        good[:-1],  # truncated
+        good.replace(b'"cq": 3', b'"cq": x'),
+        good.replace(b'"cq": 3', b'"cq": -3'),
+        good.replace(b"gridrm-tuples", b"gridrm-events"),
+        good.replace(b'"rows": [[1]]', b'"rows": 5'),
+        good.replace(b'"published_at": 1.0', b'"published_at": null'),
+        good.replace(b'"columns": ["A"], ', b""),
+        b'{"cq": 3, "kind": "gridrm-tuples", \xff\xfe}',
+        bytearray(good),
+    ):
+        assert decode_batch(bad) is None, bad
 
 
 # ----------------------------------------------------------------------
@@ -607,6 +630,7 @@ def test_console_and_servlet_render_stream_state():
 
     panel = Console(gw).streams_panel()
     assert "subscriptions: 1 live" in panel
+    assert "shape evaluations" in panel
     assert "batch" in panel and "Processor" in panel
     servlet = GatewayServlet(gw)
     network.add_host("browser", site="ops")
@@ -628,3 +652,203 @@ def test_race_detector_knows_stream_disciplines():
 
 def test_flavours_constant_is_the_rgma_triple():
     assert FLAVOURS == ("stream", "latest", "history")
+
+
+# ----------------------------------------------------------------------
+# Shape-shared fan-out and the frame wire form
+# ----------------------------------------------------------------------
+FANOUT_SHAPES = (
+    "SELECT HostName, Load FROM Probe",
+    "SELECT HostName FROM Probe WHERE Load > 0.5",
+    "SELECT COUNT(*) AS N FROM Probe",
+    "SELECT Slot FROM Probe WHERE Slot >= 0",
+)
+
+
+@pytest.fixture
+def plan_executions(monkeypatch):
+    """Counts every ``BoundPlan.execute`` call made while the test runs."""
+    calls = [0]
+    execute = BoundPlan.execute
+
+    def counting(self, rows):
+        calls[0] += 1
+        return execute(self, rows)
+
+    monkeypatch.setattr(BoundPlan, "execute", counting)
+    return calls
+
+
+def _record_sends(network):
+    """Wrap ``network.send``; returns the list of (dst, payload) sent."""
+    sent = []
+    send = network.send
+
+    def recording(src_host, dst, payload):
+        sent.append((dst, payload))
+        send(src_host, dst, payload)
+
+    network.send = recording
+    return sent
+
+
+def test_publish_evaluates_each_shape_once(plan_executions):
+    policy = GatewayPolicy(stream_max_subscriptions=100)
+    clock, network, hub, consumer, _ = _fabric(policy)
+    cqs = []
+    for i in range(40):
+        sql = FANOUT_SHAPES[i % len(FANOUT_SHAPES)]
+        if i % 8 == 4:
+            # Same PlanCache key as the canonical text: one shape.
+            sql = "  select  hostname,\n load FROM probe "
+        cqs.append(consumer.register(hub.address, sql))
+    plan_executions[0] = 0
+    pushed = hub.publish(
+        "Probe",
+        ["HostName", "Load", "Slot"],
+        [["n0", 0.9, 1], ["n1", 0.1, 2]],
+        source_url="probe://h0",
+    )
+    clock.advance(1.0)
+    assert plan_executions[0] == 4
+    assert hub.stats["evaluations"] == 4
+    assert pushed == 40 and hub.stats["pushes"] == 40
+    assert all(len(consumer.delivered[cq]) == 1 for cq in cqs)
+    # The case variant shares the canonical shape's answer.
+    assert consumer.rows(cqs[4]) == consumer.rows(cqs[0]) == [
+        ["n0", 0.9], ["n1", 0.1],
+    ]
+
+
+def test_push_span_per_shape_counts_its_subscriptions():
+    clock, network, hub, consumer, _ = _fabric()
+    hub.tracer = tracer = Tracer(clock)
+    for i in range(6):
+        consumer.register(hub.address, FANOUT_SHAPES[i % 2])
+    with tracer.start_trace("publish"):
+        hub.publish(
+            "Probe", ["HostName", "Load", "Slot"], [["n0", 0.9, 1]],
+            source_url="probe://h0",
+        )
+    (trace,) = [t for t in tracer.traces() if t.name == "publish"]
+    pushes = [s for s in trace.spans if s.name == "push"]
+    assert [(s.attrs["rows"], s.attrs["subscriptions"]) for s in pushes] == [
+        (1, 3), (1, 3),
+    ]
+    assert all(s.attrs["group"] == "Probe" for s in pushes)
+
+
+def test_unsatisfiable_shape_marks_every_subscription_once(plan_executions):
+    clock, network, hub, consumer, _ = _fabric()
+    wide = [
+        consumer.register(hub.address, "SELECT HostName, Load FROM Probe")
+        for _ in range(5)
+    ]
+    narrow = consumer.register(hub.address, "SELECT HostName FROM Probe")
+    plan_executions[0] = 0
+    pushed = hub.publish(
+        "Probe", ["HostName"], [["n0"]], source_url="probe://h0"
+    )
+    clock.advance(1.0)
+    assert pushed == 1 and consumer.rows(narrow) == [["n0"]]
+    # One evaluation per shape: the wide shape fails once, not five times.
+    assert plan_executions[0] == 2
+    assert hub.stats["evaluations"] == 2
+    assert hub.stats["unsatisfied"] == 5
+    assert all(hub._subs[cq].unsatisfied == 1 for cq in wide)
+    assert all(consumer.delivered.get(cq, []) == [] for cq in wide)
+
+
+def test_paused_frame_flushes_byte_identical_to_a_live_push():
+    clock, network, hub, consumer, _ = _fabric()
+    sql = "SELECT HostName, Slot FROM Probe"
+    live = consumer.register(hub.address, sql)
+    paused = consumer.register(hub.address, sql)
+    assert consumer.pause(hub.address, paused)
+    sent = _record_sends(network)
+    _publish(hub, clock, [["n0", 0.5, 7]])
+    (live_frame,) = [p for _dst, p in sent]
+    consumer.resume(hub.address, paused)
+    clock.advance(1.0)
+    flushed = [p for dst, p in sent if dst == consumer.address][1:]
+    shared_tail = live_frame[len(encode_frame(live, b"")):]
+    assert flushed == [encode_frame(paused, shared_tail)]
+    (a,), (b,) = consumer.delivered[live], consumer.delivered[paused]
+    assert {**a, "cq": 0, "received_at": 0} == {**b, "cq": 0, "received_at": 0}
+
+
+def test_frame_is_as_long_as_the_dict_it_replaced():
+    columns, rows = ["HostName", "Load", "Up"], [["n0", 0.25, True], ["n'1", None, 3]]
+    tail = encode_tail(
+        columns, rows, published_at=12.5, source_url="probe://h0", replay=False
+    )
+    as_dict = {
+        "kind": "gridrm-tuples",
+        "cq": 12,
+        "columns": columns,
+        "rows": rows,
+        "published_at": 12.5,
+        "source_url": "probe://h0",
+        "replay": False,
+    }
+    assert _payload_size(encode_frame(12, tail)) == len(repr(as_dict))
+    assert decode_batch(encode_frame(12, tail)) == as_dict
+
+
+def test_consumer_decodes_each_tail_once_but_owns_its_rows():
+    clock, network, hub, consumer, _ = _fabric()
+    cqs = [consumer.register(hub.address, "SELECT HostName FROM Probe") for _ in range(3)]
+    _publish(hub, clock, [["n0", 0.5, 1]])
+    assert len(consumer._tails) == 1
+    batches = [consumer.delivered[cq][0] for cq in cqs]
+    assert batches[0]["rows"] == batches[1]["rows"] == [["n0"]]
+    assert batches[0]["rows"] is not batches[1]["rows"]
+    assert batches[0]["rows"][0] is not batches[1]["rows"][0]
+    batches[0]["rows"][0].append("mutated")
+    assert batches[1]["rows"] == [["n0"]]
+    for slot in range(TAIL_MEMO_LIMIT + 5):
+        _publish(hub, clock, [["n0", 0.5, slot]])
+    assert len(consumer._tails) == TAIL_MEMO_LIMIT
+
+
+def test_watermark_follows_the_hub_that_sent_the_batch():
+    """Hub cq ids are per-hub counters: a batch from hub B must not move
+    the watermark of hub A's registration that happens to share its id,
+    or a ``history`` re-registration at A skips rows."""
+    clock, network, hub_a, consumer, store = _fabric(history=True)
+    network.add_host("hub-b", site="t")
+    hub_b = StreamHub(
+        network,
+        "hub-b",
+        plans=PlanCache(hub_a.schema),
+        schema=hub_a.schema,
+        policy=GatewayPolicy(),
+    )
+    sql = "SELECT HostName, Load FROM Probe"
+    cq_a = consumer.register(hub_a.address, sql, flavour="history")
+    cq_b = consumer.register(hub_b.address, sql)
+    assert cq_a == cq_b == 1
+
+    def record_and_publish(load):
+        now = clock.now()
+        store.record(
+            "Probe",
+            [{"HostName": "n0", "Load": load, "Slot": 1}],
+            source_url="probe://h0",
+            recorded_at=now,
+        )
+        _publish(hub_a, clock, [["n0", load, 1]])
+
+    record_and_publish(0.1)  # delivered live from A
+    # A forgets the registration (lapse beyond the tombstone grace) and
+    # records a row the consumer never receives ...
+    network.add_host("admin", site="t")
+    network.request("admin", hub_a.address, {"op": "deregister", "cq": cq_a})
+    record_and_publish(0.2)
+    # ... while B, later, pushes on its own cq 1.
+    _publish(hub_b, clock, [["n9", 0.9, 9]])
+    consumer._renew_all()
+    clock.advance(1.0)
+    assert consumer.stats["reregisters"] == 1
+    replays = [b for b in consumer.batches if b["replay"]]
+    assert [r for b in replays for r in b["rows"]] == [["n0", 0.1], ["n0", 0.2]]
