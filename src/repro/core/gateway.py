@@ -205,6 +205,7 @@ class Gateway:
             self.schema_manager.schema,
             max_rows_per_group=self.policy.history_max_rows_per_group,
             engine=self.history_engine,
+            registry=self.metrics,
         )
         self._checkpoint_task = None
         if (
@@ -454,6 +455,13 @@ class Gateway:
         self, principal: Principal, urls: Sequence[JdbcUrl], sql: str, operation: str
     ) -> None:
         self.cgsl.check(principal, operation)
+        if not self.fgsl.enabled:
+            # The group checks are no-ops; only a syntax error remains to
+            # raise here, and SQL the plan cache holds has none.
+            self.plans.check_syntax(sql)
+            return
+        # FGSL patterns match group names case-sensitively, as written:
+        # the plan cache's entry may spell them differently.
         for group in parse_select(sql).tables:
             for url in urls:
                 self.fgsl.check(principal, url.host, group)

@@ -10,6 +10,18 @@ executed against the same group name — only the mode flag differs.
 Tables are ring-bounded per group to keep long-running gateways at a
 fixed memory footprint.
 
+Reads go through an access path instead of a full scan.  Each table keeps
+partitions of its rows by ``SourceUrl`` and by (``SourceUrl``,
+``HostName``): lists of the *same* row dicts in insertion order, so each
+is an exact subsequence of ``table.rows``.  Each partition counts its
+*order breaks* (rows whose ``RecordedAt`` is not a number or falls below
+its predecessor's); a partition with none is bisected on ``RecordedAt``,
+any other is filtered linearly.  Fan-out branches record at different
+virtual instants in launch order, so a table (or a source's partition)
+is not always in time order.  A compiled query's WHERE clause still runs
+over every candidate row, so the partitions only narrow what it sees
+(DESIGN.md §12).
+
 Durability is optional and delegated: when constructed with a
 :class:`~repro.storage.engine.HistoryEngine`, every recorded row is
 WAL-appended before it is served and every ``trim_older_than`` is
@@ -21,13 +33,16 @@ Without an engine the store is the original pure in-memory ring.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from itertools import groupby
+from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 from repro.analysis import races
 from repro.glue.schema import GlueSchema
+from repro.obs.metrics import MetricsRegistry
 from repro.sql.ast_nodes import ColumnDef
-from repro.sql.database import Database
+from repro.sql.database import Database, Table
 from repro.sql.executor import SelectResult
 from repro.sql.parser import parse_select
 
@@ -41,6 +56,137 @@ PROVENANCE = (
     ColumnDef("RecordedAt", "TIMESTAMP"),
 )
 
+Row = dict[str, Any]
+
+_RECORDED_AT = itemgetter("RecordedAt")
+
+
+def _time(row: Row) -> float | None:
+    """A row's ``RecordedAt`` when it is a (non-NaN, non-bool) number."""
+    t = row.get("RecordedAt")
+    if (type(t) is float or type(t) is int) and t == t:
+        return t
+    return None
+
+
+def _breaks(rows: list[Row]) -> int:
+    """Order breaks in ``rows``: positions whose time is not a number or
+    is below the previous row's time."""
+    n, prev = 0, None
+    for row in rows:
+        t = _time(row)
+        if t is None or (prev is not None and t < prev):
+            n += 1
+        prev = t
+    return n
+
+
+def _window(rows: list[Row], bounds: Iterable[tuple[str, float]]) -> list[Row]:
+    """The rows of a break-free partition satisfying every
+    ``RecordedAt <cmp> value`` bound, found by bisection."""
+    lo, hi = 0, len(rows)
+    for op, value in bounds:
+        if op in (">=", "="):
+            lo = max(lo, bisect_left(rows, value, key=_RECORDED_AT))
+        elif op == ">":
+            lo = max(lo, bisect_right(rows, value, key=_RECORDED_AT))
+        if op in ("<=", "="):
+            hi = min(hi, bisect_right(rows, value, key=_RECORDED_AT))
+        elif op == "<":
+            hi = min(hi, bisect_left(rows, value, key=_RECORDED_AT))
+    return rows[lo:hi] if lo < hi else []
+
+
+class _Partition:
+    """A subsequence of one table's rows, in insertion order.  ``breaks``
+    counts the rows :meth:`note` has seen, so it starts at zero."""
+
+    __slots__ = ("rows", "breaks", "_last")
+
+    def __init__(self, rows: list[Row] | None = None) -> None:
+        self.rows: list[Row] = [] if rows is None else rows
+        self.breaks = 0
+        self._last: float | None = None
+
+    def note(self, t: float | None, n: int = 1) -> None:
+        """Account for ``n`` rows of time ``t`` appended to ``rows``."""
+        if t is None:
+            self.breaks += n
+        elif self._last is not None and t < self._last:
+            self.breaks += 1
+        self._last = t
+
+    def append(self, row: Row, t: float | None) -> None:
+        self.rows.append(row)
+        self.note(t)
+
+    def drop_prefix(self, k: int) -> None:
+        rows = self.rows
+        if self.breaks:
+            # Breaks at positions 0..k go; the new first row's is re-judged.
+            self.breaks -= _breaks(rows[: k + 1])
+            self.breaks += _breaks(rows[k : k + 1])
+        del rows[:k]
+        if not rows:
+            self._last = None
+
+
+class _TableIndex:
+    """The partitions of one table.  ``whole`` wraps ``table.rows``
+    itself; ``size`` is how many of its rows the index has seen."""
+
+    __slots__ = ("whole", "sources", "hosts", "size")
+
+    def __init__(self, rows: list[Row]) -> None:
+        self.whole = _Partition(rows)
+        self.sources: dict[Any, _Partition] = {}
+        self.hosts: dict[Any, dict[Any, _Partition]] = {}
+        self.size = 0
+        for _, run in groupby(rows, key=lambda r: (r.get("SourceUrl"), _time(r))):
+            self.add(list(run))
+
+    def add(self, run: list[Row]) -> None:
+        """Index rows just appended to the table that share one
+        ``SourceUrl`` and one time, as one ``record`` batch does."""
+        if not run:
+            return
+        source, t = run[0].get("SourceUrl"), _time(run[0])
+        self.whole.note(t, len(run))
+        part = self.sources.get(source)
+        if part is None:
+            part = self.sources[source] = _Partition()
+            self.hosts[source] = {}
+        part.rows.extend(run)
+        part.note(t, len(run))
+        hosts = self.hosts[source]
+        for row in run:
+            host = row.get("HostName")
+            sub = hosts.get(host)
+            if sub is None:
+                sub = hosts[host] = _Partition()
+            sub.append(row, t)
+        self.size += len(run)
+
+    def drop_prefix(self, k: int) -> None:
+        """Delete the table's oldest ``k`` rows, from every partition."""
+        per_host: dict[Any, dict[Any, int]] = {}
+        for row in self.whole.rows[:k]:
+            counts = per_host.setdefault(row.get("SourceUrl"), {})
+            host = row.get("HostName")
+            counts[host] = counts.get(host, 0) + 1
+        self.whole.drop_prefix(k)
+        self.size -= k
+        for source, counts in per_host.items():
+            part = self.sources[source]
+            part.drop_prefix(sum(counts.values()))
+            hosts = self.hosts[source]
+            for host, n in counts.items():
+                hosts[host].drop_prefix(n)
+                if not hosts[host].rows:
+                    del hosts[host]
+            if not part.rows:
+                del self.sources[source], self.hosts[source]
+
 
 class HistoryStore:
     """Per-group historical tables with provenance and ring bounding."""
@@ -51,6 +197,7 @@ class HistoryStore:
         *,
         max_rows_per_group: int = 100_000,
         engine: "HistoryEngine | None" = None,
+        registry: "MetricsRegistry | None" = None,
     ) -> None:
         if max_rows_per_group < 1:
             raise ValueError(
@@ -60,11 +207,20 @@ class HistoryStore:
         self.max_rows_per_group = max_rows_per_group
         self.engine = engine
         self.db = Database()
+        self._indexes: dict[str, _TableIndex] = {}
+        reg = registry if registry is not None else MetricsRegistry()
+        #: Rows a read handed to its predicate or filter (deterministic
+        #: scan work: the access path's whole effect shows here).
+        self._examined = reg.counter("history.rows_examined")
         self.rows_recorded = 0
         self.rows_evicted = 0
         self.rows_recovered = 0
         if engine is not None:
             self._load_recovered()
+
+    @property
+    def rows_examined(self) -> int:
+        return int(self._examined.value)
 
     # ------------------------------------------------------------------
     def _load_recovered(self) -> None:
@@ -82,13 +238,30 @@ class HistoryStore:
                 table.rows.append({name: row.get(name) for name in columns})
                 self.rows_recovered += 1
 
-    def _ensure_table(self, group_name: str):
+    def _ensure_table(self, group_name: str) -> Table:
         group = self.schema.group(group_name)
         if group.name not in self.db.tables:
             columns = [ColumnDef(f.name, f.type) for f in group.fields]
             columns.extend(PROVENANCE)
             self.db.create_table(group.name, columns)
         return self.db.table(group.name)
+
+    def _index(self, table: Table) -> _TableIndex:
+        """The table's partitions, rebuilt when out of step with its rows.
+
+        ``record`` keeps an index in step row by row; the paths that
+        replace or refill ``table.rows`` wholesale (``trim_older_than``,
+        ``_resync_group``, ``_load_recovered``) leave it to be rebuilt
+        here, on the next read or write, from the new rows.
+        """
+        index = self._indexes.get(table.name)
+        if (
+            index is None
+            or index.whole.rows is not table.rows
+            or index.size != len(table.rows)
+        ):
+            index = self._indexes[table.name] = _TableIndex(table.rows)
+        return index
 
     def record(
         self,
@@ -110,6 +283,7 @@ class HistoryStore:
                 "history", group_name, "w", site="HistoryStore.record"
             )
         table = self._ensure_table(group_name)
+        index = self._index(table)
         known = set(table.column_names)
         engine = self.engine
         n = 0
@@ -119,6 +293,7 @@ class HistoryStore:
             stored["RecordedAt"] = recorded_at
             table.insert_row(stored)
             n += 1
+        index.add(table.rows[len(table.rows) - n:])
         if engine is not None and n:
             # One WAL record for the whole batch, referencing the coerced
             # dicts the table holds (atomic ack, one frame per call).
@@ -126,9 +301,9 @@ class HistoryStore:
         self.rows_recorded += n
         overflow = len(table.rows) - self.max_rows_per_group
         if overflow > 0:
-            # Rows are appended in time order, so the oldest are first;
-            # one slice-delete trims the whole batch's overflow at once.
-            del table.rows[:overflow]
+            # The ring drops the oldest-inserted rows: a prefix of the
+            # table, and so a prefix of every partition.
+            index.drop_prefix(overflow)
             self.rows_evicted += overflow
         return n
 
@@ -146,9 +321,10 @@ class HistoryStore:
         the RequestManager passes the URL of the source the client
         addressed.  The WHERE clause may reference ``RecordedAt`` for
         time ranges.  ``plan`` (a compiled plan for this exact ``sql``,
-        from the gateway's plan cache) skips the parse and evaluates the
-        scan with precompiled closures — column names resolved against
-        the table layout once instead of once per row.
+        from the gateway's plan cache) skips the parse, evaluates the
+        scan with precompiled closures, and lets the scan start from the
+        narrowest partition its ``HostName``/``RecordedAt`` conjuncts
+        allow; the answer is the same either way.
         """
         if plan is not None:
             select = plan.select
@@ -160,31 +336,100 @@ class HistoryStore:
             )
         self._ensure_table(select.table)
         table = self.db.table(self.schema.group(select.table).name)
-        rows = table.rows
-        if source_url is not None:
-            rows = [r for r in rows if r.get("SourceUrl") == source_url]
+        rows = self._candidates(table, source_url, plan)
+        self._examined.add(len(rows))
         if plan is not None:
             return plan.bind_mapping(tuple(table.column_names)).execute(rows)
         from repro.sql.executor import execute_select
 
         return execute_select(select, table.column_names, rows)
 
-    @staticmethod
-    def _since_slice(rows: list[dict[str, Any]], since: float) -> list[dict[str, Any]]:
-        """Rows recorded at or after ``since``, found by bisection.
+    def _candidates(
+        self, table: Table, source_url: str | None, plan: "CompiledPlan | None"
+    ) -> list[Row]:
+        """The rows of ``table`` the plan's WHERE clause could accept.
 
-        Rows are appended in ``RecordedAt`` order, so instead of scanning
-        every row we bisect to the cutoff.  ``RecordedAt is None`` rows
-        sort as -inf: they sit at the front and a time-filtered read
-        skips them (same semantics as the old linear filter).
+        Sound, not exact: a row left out fails some top-level conjunct,
+        and the plan only offers conjuncts when its WHERE clause cannot
+        raise, so leaving a row unevaluated changes neither the answer
+        nor the error.
         """
-        lo = bisect_left(
-            rows,
-            since,
-            key=lambda r: r["RecordedAt"] if r.get("RecordedAt") is not None
-            else float("-inf"),
-        )
-        return rows[lo:]
+        index = self._index(table)
+        part = index.whole
+        hosts: dict[Any, _Partition] | None = None
+        if source_url is not None:
+            found = index.sources.get(source_url)
+            if found is None:
+                return []
+            part, hosts = found, index.hosts[source_url]
+        terms = plan.access_terms(table.columns) if plan is not None else None
+        if not terms:
+            return part.rows
+        bounds = []
+        for name, op, value in terms:
+            if name == "RecordedAt" and not isinstance(value, str):
+                bounds.append((op, value))
+            elif (
+                name == "HostName"
+                and op == "="
+                and isinstance(value, str)
+                and hosts is not None
+                and self._host_is_text(table)
+            ):
+                sub = hosts.get(value)
+                if sub is None:
+                    return []
+                part = sub
+        if bounds and not part.breaks:
+            return _window(part.rows, bounds)
+        return part.rows
+
+    @staticmethod
+    def _host_is_text(table: Table) -> bool:
+        """``HostName`` is a TEXT column, so every stored value is a
+        ``str`` or NULL and ``HostName = 'x'`` holds exactly on the rows
+        of the ``'x'`` partition (no numeric-string coercion)."""
+        return any(c.name == "HostName" and c.type == "TEXT" for c in table.columns)
+
+    def _scan(
+        self,
+        table: Table,
+        *,
+        source_url: str | None = None,
+        host: str | None = None,
+        since: float | None = None,
+    ) -> list[Row]:
+        """Rows of ``table`` with the given source and host, recorded at
+        or after ``since`` (a ``None`` time never qualifies), in table
+        order."""
+        index = self._index(table)
+        part: _Partition | None = index.whole
+        if source_url is not None:
+            part = index.sources.get(source_url)
+            if part is not None and host is not None:
+                part = index.hosts[source_url].get(host)
+                host = None
+        if part is None:
+            return []
+        rows = part.rows
+        if since is not None and not part.breaks:
+            rows = _window(rows, ((">=", since),))
+        self._examined.add(len(rows))
+        if since is not None and part.breaks:
+            rows = [
+                r for r in rows
+                if r.get("RecordedAt") is not None and r["RecordedAt"] >= since
+            ]
+        if host is not None:
+            rows = [r for r in rows if r.get("HostName") == host]
+        return rows
+
+    def rows_since(self, group_name: str, since: float) -> list[Row]:
+        """A group's rows recorded at or after ``since``, in table order
+        (the history-flavour stream replay)."""
+        if group_name not in self.db.tables:
+            return []
+        return self._scan(self.db.table(group_name), since=since)
 
     def series(
         self,
@@ -202,20 +447,10 @@ class HistoryStore:
             )
         if group_name not in self.db.tables:
             return []
-        rows = self.db.table(group_name).rows
-        if since is not None:
-            rows = self._since_slice(rows, since)
-        out: list[tuple[float, Any]] = []
-        for row in rows:
-            if source_url is not None and row.get("SourceUrl") != source_url:
-                continue
-            if host is not None and row.get("HostName") != host:
-                continue
-            t = row.get("RecordedAt")
-            if since is not None and t is None:
-                continue
-            out.append((t, row.get(field)))
-        return out
+        rows = self._scan(
+            self.db.table(group_name), source_url=source_url, host=host, since=since
+        )
+        return [(row.get("RecordedAt"), row.get(field)) for row in rows]
 
     def rollup(
         self,

@@ -37,6 +37,10 @@ from repro.sql.errors import SqlError
 from repro.sql.parser import parse_select
 from repro.sql.plan import CompiledPlan, compile_plan
 
+#: The provenance columns a historical query may reference beyond the
+#: group's own fields (the history store's extra columns).
+HISTORY_FIELDS = ("SourceUrl", "RecordedAt")
+
 
 class PlanEntry:
     """One cached compilation: AST + validation findings + compiled plan.
@@ -175,6 +179,16 @@ class PlanCache:
                 del self._entries[oldest]
                 self._evictions.add(1)
         return entry
+
+    def check_syntax(self, sql: str) -> None:
+        """Raise the parser's :class:`~repro.sql.errors.SqlError` if
+        ``sql`` does not parse.  Text whose normalised form has an entry
+        parsed before, so a warm query costs one normalisation and no
+        parse; no counter moves."""
+        text = normalise_sql(sql)
+        entries = self._entries
+        if (text, ()) not in entries and (text, HISTORY_FIELDS) not in entries:
+            parse_select(sql)
 
     def _check_version(self) -> None:
         """Drop everything when the GLUE schema version moved."""

@@ -55,7 +55,7 @@ from repro.core.errors import (
 from repro.core.health import HealthTracker
 from repro.core.retry import RetryBudget, RetryPolicy
 from repro.core.history import HistoryStore
-from repro.core.plans import PlanCache
+from repro.core.plans import HISTORY_FIELDS, PlanCache
 from repro.core.policy import GatewayPolicy
 from repro.dbapi.exceptions import (
     SQLConnectionException,
@@ -289,7 +289,7 @@ class RequestManager:
         # shows ``plan.cache_hit`` instead of ``plan.compile``).
         # Historical queries may additionally reference the store's
         # provenance columns.
-        extra = ("SourceUrl", "RecordedAt") if mode is QueryMode.HISTORY else ()
+        extra = HISTORY_FIELDS if mode is QueryMode.HISTORY else ()
         try:
             entry = self.plans.get(sql, extra_fields=extra)
         except SqlError as exc:

@@ -452,7 +452,7 @@ class StreamHub:
             elif cq.flavour == "history" and self.history is not None:
                 if cq.group in self.history.db.tables:
                     table = self.history.db.table(cq.group)
-                    rows = HistoryStore._since_slice(table.rows, watermark)
+                    rows = self.history.rows_since(cq.group, watermark)
                     # Cap at the newest rows: attach replay is a catch-up,
                     # not a full table scan shipped over the wire.
                     limit = self.policy.stream_replay_limit

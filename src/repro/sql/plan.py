@@ -728,6 +728,95 @@ class BoundPlan:
         return self._out_cols, out
 
 
+# ----------------------------------------------------------------------
+# Access-path hints (read-only)
+# ----------------------------------------------------------------------
+#: A prunable conjunct: (column, comparison, literal value), with the
+#: literal always on the right.
+PruneTerm = tuple[ast.Column, str, Any]
+
+#: The comparison that holds when the operands of ``op`` swap sides.
+_SWAPPED = {"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+#: Declared column types whose stored values are numbers: ``Table``
+#: coerces them on insert (BOOLEAN to ``bool``, an ``int`` subclass).
+_NUMERIC_TYPES = frozenset({"INTEGER", "REAL", "TIMESTAMP", "BOOLEAN"})
+
+
+def _conjuncts(where: ast.Expr) -> list[ast.Expr]:
+    """The top-level AND operands of a WHERE clause, left to right."""
+    if isinstance(where, ast.BinOp) and where.op == "AND":
+        return _conjuncts(where.left) + _conjuncts(where.right)
+    return [where]
+
+
+def _prune_term(expr: ast.Expr) -> PruneTerm | None:
+    """``column <cmp> literal`` (either way round) over a string or a
+    non-bool number, or None."""
+    if not isinstance(expr, ast.BinOp) or expr.op not in _SWAPPED:
+        return None
+    column, literal, op = expr.left, expr.right, expr.op
+    if isinstance(column, ast.Literal):
+        column, literal, op = literal, column, _SWAPPED[op]
+    if not isinstance(column, ast.Column) or not isinstance(literal, ast.Literal):
+        return None
+    value = literal.value
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        return None
+    return column, op, value
+
+
+def _kind(expr: ast.Expr, layout: Sequence[ast.ColumnDef]) -> str | None:
+    """What ``expr`` yields over a row holding every column of ``layout``
+    with a value of its declared type (or NULL): ``"num"``, ``"text"``,
+    ``"null"`` or ``"any"`` — or None when evaluating it might raise.
+
+    Conservative: comparisons are total only between operands of one
+    kind (mixed kinds may hit a ``TypeError`` or a float overflow in
+    ``_coerce_pair``), and arithmetic is never total (it may mix types
+    or overflow).
+    """
+    if isinstance(expr, ast.Literal):
+        value = expr.value
+        if value is None:
+            return "null"
+        if isinstance(value, (int, float)):
+            return "num"
+        return "text" if isinstance(value, str) else "any"
+    if isinstance(expr, ast.Column):
+        index = _resolve_slot([c.name for c in layout], expr)
+        if index is None:
+            return None
+        declared = layout[index].type
+        if declared in _NUMERIC_TYPES:
+            return "num"
+        return "text" if declared == "TEXT" else "any"
+    if isinstance(expr, ast.UnaryOp):
+        inner = _kind(expr.operand, layout)
+        if expr.op == "NOT":
+            return None if inner is None else "num"
+        return inner if expr.op == "-" and inner in ("num", "null") else None
+    if isinstance(expr, ast.IsNull):
+        return None if _kind(expr.expr, layout) is None else "num"
+    operands: list[ast.Expr]
+    if isinstance(expr, ast.BinOp) and expr.op in ("AND", "OR", "LIKE"):
+        kinds = {_kind(expr.left, layout), _kind(expr.right, layout)}
+        return None if None in kinds else "num"
+    if isinstance(expr, ast.BinOp) and expr.op in ("=", "!=", "<", "<=", ">", ">="):
+        operands = [expr.left, expr.right]
+    elif isinstance(expr, ast.InList):
+        operands = [expr.expr, *expr.items]
+    elif isinstance(expr, ast.Between):
+        operands = [expr.expr, expr.low, expr.high]
+    else:
+        return None
+    kinds = {_kind(e, layout) for e in operands}
+    kinds.discard("null")
+    if None in kinds or "any" in kinds or len(kinds) > 1:
+        return None
+    return "num"
+
+
 class CompiledPlan:
     """A SELECT compiled once, bindable to any column layout.
 
@@ -735,14 +824,60 @@ class CompiledPlan:
     the plan, keyed by the column tuple, so a plan held in the
     :class:`~repro.core.plans.PlanCache` pays compilation exactly once
     per (query, layout) pair.
+
+    ``prune_terms`` lists, once at compile time, the top-level AND
+    conjuncts of the form ``column <cmp> literal`` that a storage layer
+    may use to skip rows; :meth:`access_terms` resolves them against a
+    concrete layout.
     """
 
-    __slots__ = ("select", "_slot_bindings", "_mapping_bindings")
+    __slots__ = (
+        "select", "prune_terms", "_slot_bindings", "_mapping_bindings", "_access"
+    )
 
     def __init__(self, select: ast.Select) -> None:
         self.select = select
+        terms = (
+            [] if select.where is None
+            else [_prune_term(c) for c in _conjuncts(select.where)]
+        )
+        self.prune_terms: tuple[PruneTerm, ...] = tuple(
+            t for t in terms if t is not None
+        )
         self._slot_bindings: dict[tuple[str, ...], BoundPlan] = {}
         self._mapping_bindings: dict[tuple[str, ...], BoundPlan] = {}
+        self._access: dict[
+            tuple[ast.ColumnDef, ...], tuple[tuple[str, str, Any], ...] | None
+        ] = {}
+
+    def access_terms(
+        self, layout: Sequence[ast.ColumnDef]
+    ) -> tuple[tuple[str, str, Any], ...] | None:
+        """``prune_terms`` as ``(column name, cmp, literal)`` with each
+        column resolved against ``layout`` the way evaluation resolves it
+        (so ``hostname`` and ``Processor.HostName`` name ``HostName``);
+        terms naming no column of the layout are left out.
+
+        None when the WHERE clause might raise on some row of the layout:
+        a row skipped unevaluated could then have been the one raising,
+        so a caller must evaluate every row.  Every row the WHERE clause
+        accepts satisfies each returned term.
+        """
+        key = tuple(layout)
+        if key in self._access:
+            return self._access[key]
+        where = self.select.where
+        resolved: tuple[tuple[str, str, Any], ...] | None = None
+        if where is None or _kind(where, key) is not None:
+            names = [c.name for c in key]
+            out: list[tuple[str, str, Any]] = []
+            for column, op, value in self.prune_terms:
+                index = _resolve_slot(names, column)
+                if index is not None:
+                    out.append((names[index], op, value))
+            resolved = tuple(out)
+        self._access[key] = resolved
+        return resolved
 
     def bind(self, columns: Sequence[str]) -> BoundPlan:
         """Bind to a positional-row layout (rows are lists of values)."""

@@ -1,14 +1,19 @@
 """Unit + end-to-end tests for the PlanCache."""
 
+import sys
+
 import pytest
 
+from repro.core.errors import SecurityError
 from repro.core.plans import PlanCache
+from repro.core.security import AccessRule
 from repro.core.request_manager import QueryMode
 from repro.glue.schema import standard_schema
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.simnet.clock import VirtualClock
 from repro.simnet.network import Network
+from repro.sql import parser
 from repro.sql.errors import SqlError
 from repro.testbed import build_site
 
@@ -208,3 +213,64 @@ class TestGatewayEndToEnd:
         warm = gw.query(url, sql, mode=QueryMode.REALTIME)
         assert warm.columns == cold.columns
         assert warm.rows == cold.rows
+
+
+def count_parses(monkeypatch):
+    """Count ``parse_select`` calls made anywhere in the program: every
+    loaded ``repro`` module that imported it by name is patched."""
+    calls = []
+    original = parser.parse_select
+
+    def counting(sql):
+        calls.append(sql)
+        return original(sql)
+
+    for module in list(sys.modules.values()):
+        if (
+            module is not None
+            and module.__name__.startswith("repro")
+            and getattr(module, "parse_select", None) is original
+        ):
+            monkeypatch.setattr(module, "parse_select", counting)
+    return calls
+
+
+class TestWarmQueryParses:
+    @pytest.fixture
+    def rig(self):
+        clock = VirtualClock()
+        network = Network(clock, seed=11)
+        site = build_site(network, name="wp", n_hosts=2, agents=("snmp",), seed=11)
+        clock.advance(5.0)
+        return site, site.gateway
+
+    @pytest.mark.parametrize(
+        "mode", [QueryMode.CACHED_OK, QueryMode.REALTIME, QueryMode.HISTORY]
+    )
+    def test_warm_query_performs_no_parse(self, rig, monkeypatch, mode):
+        site, gw = rig
+        url = site.url_for("snmp")
+        gw.query(url, SQL, mode=QueryMode.REALTIME)  # history for HISTORY
+        gw.query(url, SQL, mode=mode)
+        calls = count_parses(monkeypatch)
+        gw.query(url, SQL, mode=mode)
+        assert calls == []
+
+    def test_cold_syntax_error_still_raised_at_the_gateway(self, rig):
+        site, gw = rig
+        with pytest.raises(SqlError):
+            gw.query(site.url_for("snmp"), "SELECT FROM WHERE", mode=QueryMode.CACHED_OK)
+
+    def test_fgsl_checks_the_group_as_written(self, rig, monkeypatch):
+        site, gw = rig
+        url = site.url_for("snmp")
+        gw.query(url, SQL, mode=QueryMode.CACHED_OK)
+        gw.fgsl.enabled = True
+        gw.fgsl.add_rule(AccessRule(allow=False, who="*", group_pattern="Host"))
+        with pytest.raises(SecurityError):
+            gw.query(url, SQL, mode=QueryMode.CACHED_OK)
+        # Same normalised text, other spelling: the rule does not match it,
+        # exactly as when every query was parsed here.
+        calls = count_parses(monkeypatch)
+        gw.query(url, SQL.replace("Host", "host"), mode=QueryMode.CACHED_OK)
+        assert calls  # FGSL on: the written spelling is parsed
