@@ -67,7 +67,12 @@ class TestLintPaths:
         """The determinism sanitizer's blast radius includes the
         durability layer and the chaos/crash/race harnesses."""
         report = lint_paths(
-            ["src/repro/storage", "src/repro/crashtest.py", "src/repro/racecheck.py"]
+            [
+                "src/repro/storage",
+                "src/repro/scenario.py",
+                "src/repro/crashtest.py",
+                "src/repro/racecheck.py",
+            ]
         )
         assert report.files_scanned >= 5
         assert report.findings == [], render_flat(report)

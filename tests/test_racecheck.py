@@ -2,13 +2,8 @@
 
 import pytest
 
-from repro.racecheck import (
-    RacecheckReport,
-    _bisect_streams,
-    _Capture,
-    _first_diff_line,
-    run_racecheck,
-)
+from repro.racecheck import RacecheckReport, run_racecheck
+from repro.scenario import _bisect_streams, _Capture, _first_diff_line
 
 # One shared small run: the harness builds four gateways (2 runs x the
 # dual capture), so tests that only inspect the report reuse this.
